@@ -90,7 +90,9 @@ def bfs(
     """
     from repro.execution.backend import resolve_backend
 
-    if resolve_backend(backend, "bfs") == "linalg":
+    if resolve_backend(
+        backend, "bfs", policy=policy, resilience=resilience
+    ) == "linalg":
         from repro.linalg.algorithms import linalg_bfs
 
         return linalg_bfs(

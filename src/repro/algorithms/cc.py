@@ -81,7 +81,9 @@ def connected_components(
     """
     from repro.execution.backend import resolve_backend
 
-    if resolve_backend(backend, "cc") == "linalg":
+    if resolve_backend(
+        backend, "cc", policy=policy, resilience=resilience, method=method
+    ) == "linalg":
         from repro.linalg.algorithms import linalg_cc
 
         return linalg_cc(graph)

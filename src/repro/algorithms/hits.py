@@ -17,6 +17,7 @@ from repro.graph.graph import Graph
 from repro.execution.policy import ExecutionPolicy, par_vector, resolve_policy
 from repro.utils.counters import RunStats
 from repro.operators.fused import segmented_sum
+from repro.resilience.deadline import active_token
 
 
 @dataclass
@@ -46,7 +47,7 @@ def hits(
     """
     from repro.execution.backend import resolve_backend
 
-    if resolve_backend(backend, "hits") == "linalg":
+    if resolve_backend(backend, "hits", policy=policy) == "linalg":
         from repro.linalg.algorithms import linalg_hits
 
         return linalg_hits(
@@ -62,7 +63,13 @@ def hits(
     auth = hubs.copy()
     converged = False
     iterations = 0
+    token = active_token()
     for iterations in range(1, max_iterations + 1):
+        if token is not None and token.should_stop():
+            # Anytime semantics, as pagerank and ppr: the last completed
+            # iterate comes back unconverged.
+            iterations -= 1
+            break
         new_auth = segmented_sum(
             coo.cols, coo.vals.astype(np.float64) * hubs[coo.rows], n
         )

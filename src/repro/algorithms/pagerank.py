@@ -71,7 +71,7 @@ def pagerank(
     """
     from repro.execution.backend import resolve_backend
 
-    if resolve_backend(backend, "pagerank") == "linalg":
+    if resolve_backend(backend, "pagerank", policy=policy) == "linalg":
         from repro.linalg.algorithms import linalg_pagerank
 
         return linalg_pagerank(

@@ -55,7 +55,7 @@ def personalized_pagerank(
     count to reach it shrinks)."""
     from repro.execution.backend import resolve_backend
 
-    if resolve_backend(backend, "ppr") == "linalg":
+    if resolve_backend(backend, "ppr", policy=policy) == "linalg":
         from repro.linalg.algorithms import linalg_ppr
 
         return linalg_ppr(

@@ -12,8 +12,9 @@ The Fleischer–Hendrickson–Pinar algorithm, the standard parallel SCC
    (forward-only, backward-only, unreached) contain no SCC spanning
    them, so each recurses independently.
 
-Both BFS directions reuse the push advance machinery over masked
-vertex sets; the recursion is managed with an explicit worklist.
+Both reachability sweeps are :func:`~repro.graph.segments.reach_mask`
+over the CSR (forward) or CSC (backward), restricted to the remaining
+vertices; the recursion is managed with an explicit worklist.
 Validated against Tarjan (:func:`tarjan_scc`) and networkx.
 """
 
@@ -25,7 +26,7 @@ from typing import List
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.types import VERTEX_DTYPE
+from repro.graph.segments import reach_mask
 from repro.utils.counters import IterationStats, RunStats
 
 
@@ -41,36 +42,6 @@ class SCCResult:
         """Size of each SCC, over compacted component ids."""
         _, counts = np.unique(self.labels, return_counts=True)
         return counts
-
-
-def _masked_reachable(
-    offsets: np.ndarray,
-    targets: np.ndarray,
-    start: int,
-    active: np.ndarray,
-) -> np.ndarray:
-    """Vertices reachable from ``start`` using only ``active`` vertices.
-
-    Level-synchronous frontier sweep with the bulk multi-range gather
-    (the same kernel as advance, specialized to a boolean visited set).
-    """
-    visited = np.zeros(active.shape[0], dtype=bool)
-    visited[start] = True
-    frontier = np.asarray([start], dtype=np.int64)
-    while frontier.size:
-        starts = offsets[frontier]
-        counts = offsets[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        cum = np.cumsum(counts)
-        base = np.repeat(starts - (cum - counts), counts)
-        positions = np.arange(total, dtype=np.int64) + base
-        neighbors = targets[positions].astype(np.int64)
-        fresh = active[neighbors] & ~visited[neighbors]
-        frontier = np.unique(neighbors[fresh])
-        visited[frontier] = True
-    return visited
 
 
 def strongly_connected_components(graph: Graph) -> SCCResult:
@@ -130,8 +101,8 @@ def strongly_connected_components(graph: Graph) -> SCCResult:
             continue
 
         pivot = int(remaining[0])
-        fwd = _masked_reachable(fwd_offsets, fwd_targets, pivot, active)
-        bwd = _masked_reachable(bwd_offsets, bwd_targets, pivot, active)
+        fwd = reach_mask(fwd_offsets, fwd_targets, pivot, active)
+        bwd = reach_mask(bwd_offsets, bwd_targets, pivot, active)
         scc_mask = fwd & bwd & active
         members = np.nonzero(scc_mask)[0]
         labels[members] = int(members.min())

@@ -45,7 +45,7 @@ def spgemm(
     """
     from repro.execution.backend import resolve_backend
 
-    if resolve_backend(backend, "spgemm") == "linalg":
+    if resolve_backend(backend, "spgemm", policy=policy) == "linalg":
         from repro.linalg.algorithms import linalg_spgemm
 
         return linalg_spgemm(a, b)

@@ -41,7 +41,7 @@ def spmv(
     """
     from repro.execution.backend import resolve_backend
 
-    if resolve_backend(backend, "spmv") == "linalg":
+    if resolve_backend(backend, "spmv", policy=policy) == "linalg":
         from repro.linalg.algorithms import linalg_spmv
 
         return linalg_spmv(graph, x)

@@ -111,7 +111,14 @@ def sssp(
     """
     from repro.execution.backend import resolve_backend
 
-    if resolve_backend(backend, "sssp") == "linalg":
+    if resolve_backend(
+        backend,
+        "sssp",
+        policy=policy,
+        resilience=resilience,
+        output_representation=output_representation,
+        deduplicate_frontier=deduplicate_frontier,
+    ) == "linalg":
         from repro.linalg.algorithms import linalg_sssp
 
         return linalg_sssp(graph, source, direction=direction)

@@ -1,13 +1,20 @@
 """Incremental recompute: repair results from the affected set.
 
 The paper's frontier/operator decomposition makes "start from the dirty
-vertices" a first-class operation (Gunrock's framing): the repair loops
-below are *the same* ``neighbors_expand`` + min-relax supersteps the
-static algorithms run — only the initial frontier changes, from
-``{source}`` (or all vertices) to the set of vertices a mutation batch
-can actually affect.  Each function returns the static algorithm's
-result type, so callers swap ``sssp(...)`` for
-``incremental_sssp(...)`` without touching anything downstream.
+vertices" a first-class operation (Gunrock's framing): repair runs the
+static algorithms' own min-relax superstep — only the initial frontier
+changes, from ``{source}`` (or all vertices) to the set of vertices a
+mutation batch can actually affect.  Under the vectorized policies
+(``par_vector``, ``par_proc``) the repair loop calls the shared push
+kernel :func:`~repro.operators.relax.min_relax_push` directly — the
+function the fused SSSP/CC supersteps and the ``par_proc`` workers run —
+and every other policy runs ``neighbors_expand`` under the enactor.  The
+structural gathers use :func:`~repro.graph.segments.segment_edges` and
+the CC deletion certificate :func:`~repro.graph.segments.reach_mask`,
+the same raw-array kernels as the rest of the package.  Each function
+returns the static algorithm's result type, so callers swap
+``sssp(...)`` for ``incremental_sssp(...)`` without touching anything
+downstream.
 
 The repair recipes:
 
@@ -55,30 +62,25 @@ from repro.errors import GraphFormatError
 from repro.execution.atomics import AtomicArray
 from repro.execution.policy import (
     ExecutionPolicy,
-    SequencedPolicy,
     VectorPolicy,
     par_vector,
     resolve_policy,
 )
 from repro.frontier.sparse import SparseFrontier
-from repro.graph.csc import CSCMatrix
-from repro.graph.csr import CSRMatrix
 from repro.graph.graph import Graph
+from repro.graph.segments import reach_mask, segment_edges
 from repro.loop.enactor import Enactor
 from repro.observability.probe import active_probe
 from repro.operators.advance import neighbors_expand
 from repro.operators.conditions import scalar_condition
-from repro.operators.fused import (
-    fused_kernel_of,
-    min_relax_condition,
-)
+from repro.operators.relax import min_relax_push
 from repro.operators.uniquify import uniquify
+from repro.resilience.deadline import active_token
 from repro.types import (
     INF,
     INVALID_VERTEX,
     VALUE_DTYPE,
     VERTEX_DTYPE,
-    WEIGHT_DTYPE,
 )
 from repro.utils.counters import IterationStats, RunStats
 
@@ -113,15 +115,17 @@ def _min_relax_fixpoint(
     seed_ids: np.ndarray,
     policy,
     *,
+    unit: bool,
     state_name: str,
     resilience=None,
 ) -> RunStats:
-    """Run the label-correcting relax loop from ``seed_ids`` to empty.
+    """Run the label-correcting relax loop from ``seed_ids`` to empty
+    under the scalar policies (``seq``, ``par``, ``par_nosync``).
 
-    This is :func:`repro.algorithms.sssp.sssp`'s superstep verbatim —
-    scalar atomic min under threaded/sequential policies, the fused
-    single-pass kernel under ``par_vector`` — so repair inherits the
-    whole policy matrix for free.
+    This is :func:`repro.algorithms.sssp.sssp`'s scalar superstep — an
+    atomic min per edge under the enactor — so repair inherits those
+    policies' schedules and resilience for free.  ``unit=True`` relaxes
+    hop counts (BFS) instead of edge weights.
     """
     n = graph.n_vertices
     if seed_ids.size == 0:
@@ -129,33 +133,21 @@ def _min_relax_fixpoint(
         stats.converged = True
         return stats
 
-    if isinstance(policy, (SequencedPolicy,)) or (
-        not isinstance(policy, VectorPolicy) and policy.parallel
-    ):
-        atomic = AtomicArray(values)
+    atomic = AtomicArray(values)
 
-        @scalar_condition
-        def condition(src, dst, edge, weight):
-            new_v = values[src] + weight
-            curr = atomic.min_at(dst, new_v)
-            return new_v < curr
-
-    else:
-        condition = min_relax_condition(values)
+    @scalar_condition
+    def condition(src, dst, edge, weight):
+        new_v = values[src] + (1.0 if unit else weight)
+        curr = atomic.min_at(dst, new_v)
+        return new_v < curr
 
     enactor = Enactor(graph)
-    emits_sets = (
-        isinstance(policy, VectorPolicy)
-        and fused_kernel_of(condition) is not None
-    )
 
     def step(f, state):
         out = neighbors_expand(
             policy, graph, f, condition, workspace=enactor.workspace
         )
-        if not emits_sets:
-            out = uniquify(policy, out, workspace=enactor.workspace)
-        return out
+        return uniquify(policy, out, workspace=enactor.workspace)
 
     frontier = SparseFrontier.from_indices(
         seed_ids.astype(VERTEX_DTYPE, copy=False), n
@@ -177,47 +169,44 @@ def _relax_push(
 ) -> RunStats:
     """The ``par_vector`` fast path of :func:`_min_relax_fixpoint`.
 
-    Same label-correcting fixpoint, hand-vectorized: gather the
-    frontier's out-edges straight off the CSR arrays, scatter-min the
-    improvements, and the vertices whose value actually dropped form
-    the next frontier.  Repair frontiers are batch-sized, not
-    graph-sized, so the generic operator pipeline's per-superstep
-    machinery (workspaces, frontier objects, dedup passes) would
-    dominate the runtime — this loop is the same dozen numpy kernels
-    with nothing between them.  ``unit=True`` relaxes hop counts
-    (BFS) without touching the weight array at all.
+    Same label-correcting fixpoint, with nothing between the kernels:
+    each superstep is one call of the shared push kernel
+    (:func:`~repro.operators.relax.min_relax_push`, the one the fused
+    SSSP/CC supersteps and the ``par_proc`` workers run), an
+    ``np.minimum.at`` fold of its proposals, and ``np.unique`` of the
+    improved destinations as the next frontier.  Repair frontiers are
+    batch-sized, not graph-sized, so the enactor's per-superstep
+    machinery (workspaces, frontier objects, bitmap dedup) would
+    dominate the runtime.  ``unit=True`` relaxes hop counts (BFS)
+    through a zero-stride unit-weight view.  Polls the ambient cancel
+    token once per superstep, as :meth:`Enactor.run` does.
     """
     stats = RunStats()
     csr = merged.csr()
-    ro = csr.row_offsets.astype(np.int64, copy=False)
-    ci = csr.column_indices
-    frontier = np.unique(seeds).astype(np.int64)
+    ro = csr.row_offsets
+    weights = (
+        np.broadcast_to(np.ones(1, dtype=dist.dtype), csr.values.shape)
+        if unit
+        else csr.values
+    )
+    token = active_token()
+    frontier = np.unique(seeds)
     iteration = 0
     while frontier.size:
-        starts = ro[frontier]
-        cnts = ro[frontier + 1] - starts
-        total = int(cnts.sum())
-        if total == 0:
+        if token is not None:
+            token.check(f"superstep:{iteration}")
+        edges = int((ro.take(frontier + 1) - ro.take(frontier)).sum())
+        if edges == 0:
             break
-        seg0 = np.cumsum(cnts) - cnts
-        idx = np.repeat(starts - seg0, cnts) + np.arange(
-            total, dtype=np.int64
-        )
-        dsts = ci[idx].astype(np.int64)
-        src_d = np.repeat(dist[frontier], cnts)
-        cand = src_d + 1.0 if unit else src_d + csr.values[idx]
-        better = cand < dist[dsts]
-        stats.record(
-            IterationStats(iteration, int(frontier.size), total, 0.0)
-        )
+        stats.record(IterationStats(iteration, int(frontier.size), edges, 0.0))
         iteration += 1
-        if not np.any(better):
+        dsts, cand = min_relax_push(
+            ro, csr.column_indices, weights, dist, frontier
+        )
+        if not dsts.size:
             break
-        d2 = dsts[better]
-        c2 = cand[better]
-        snap = dist[d2]
-        np.minimum.at(dist, d2, c2)
-        frontier = np.unique(d2[dist[d2] < snap])
+        np.minimum.at(dist, dsts, cand)
+        frontier = np.unique(dsts)
     stats.converged = True
     return stats
 
@@ -245,19 +234,14 @@ def _pull_refill(
     if inv.size == 0:
         return inv
     csc = merged.csc()
-    co = csc.col_offsets.astype(np.int64, copy=False)
-    starts = co[inv]
-    cnts = co[inv + 1] - starts
+    idx, cnts = segment_edges(csc.col_offsets, inv)
     nz = cnts > 0
-    inv, starts, cnts = inv[nz], starts[nz], cnts[nz]
+    inv, cnts = inv[nz], cnts[nz]
     if inv.size == 0:
         return inv
-    total = int(cnts.sum())
-    seg0 = np.cumsum(cnts) - cnts
-    idx = np.repeat(starts - seg0, cnts)
-    idx += np.arange(total, dtype=np.int64)
     srcs = csc.row_indices[idx]
     cand = dist[srcs] + 1.0 if unit else dist[srcs] + csc.values[idx]
+    seg0 = np.cumsum(cnts) - cnts
     refilled = np.minimum(dist[inv], np.minimum.reduceat(cand, seg0))
     dist[inv] = refilled
     return inv[refilled < INF]
@@ -315,28 +299,6 @@ def _tight_invalidate(
         )
         wave = np.unique(d2[dependents]).astype(VERTEX_DTYPE)
     return invalid
-
-
-def _gather_arcs(offsets: np.ndarray, targets: np.ndarray, ids: np.ndarray):
-    """``(endpoint, owner)`` arc pairs for ``ids`` off raw index arrays.
-
-    One segmented gather off a CSR/CSC offset+index pair — the weight
-    and sort work :meth:`gather_in_edges` / :meth:`expand_vertices` do
-    is pure waste on the structural hot paths here (level rescue, kid
-    cascade, parent re-pick), which only need endpoints.
-    """
-    offs = offsets.astype(np.int64, copy=False)
-    starts = offs[ids]
-    cnts = offs[ids + 1] - starts
-    total = int(cnts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    seg0 = np.cumsum(cnts) - cnts
-    idx = np.repeat(starts - seg0, cnts) + np.arange(total, dtype=np.int64)
-    return targets[idx].astype(np.int64), np.repeat(
-        ids.astype(np.int64, copy=False), cnts
-    )
 
 
 def _boundary_seeds(graph: Graph, values: np.ndarray, invalid: np.ndarray):
@@ -426,33 +388,11 @@ def incremental_sssp(
                 dist,
                 seed_ids,
                 policy,
+                unit=False,
                 state_name="dist",
                 resilience=resilience,
             )
     return SSSPResult(distances=dist, source=source, stats=stats)
-
-
-def _unit_weight_graph(merged: Graph) -> Graph:
-    """The merged structure with unit weights (shared index arrays) —
-    BFS-as-SSSP needs hop counts, not edge weights.
-
-    The CSC is built from ``merged``'s (deriving it there so the
-    transpose is cached on the snapshot across repair calls) rather
-    than re-transposed per call: the index arrays are identical, only
-    the values differ, and they are all ones anyway.
-    """
-    csr = merged.csr()
-    ones = np.ones(csr.get_num_edges(), dtype=WEIGHT_DTYPE)
-    csc = merged.csc()
-    views = {
-        "csr": CSRMatrix(
-            csr.n_rows, csr.n_cols, csr.row_offsets, csr.column_indices, ones
-        ),
-        "csc": CSCMatrix(
-            csc.n_rows, csc.n_cols, csc.col_offsets, csc.row_indices, ones
-        ),
-    }
-    return Graph(views, merged.properties)
 
 
 def incremental_bfs(
@@ -511,9 +451,8 @@ def incremental_bfs(
                 at_level = old_levels[pending] == level
                 now = pending[at_level]
                 rest = pending[~at_level]
-                srcs, dsts = _gather_arcs(
-                    csc.col_offsets, csc.row_indices, now
-                )
+                eids, cnts = segment_edges(csc.col_offsets, now)
+                srcs, dsts = csc.row_indices.take(eids), now.repeat(cnts)
                 rescued = np.zeros(n, dtype=bool)
                 if srcs.size:
                     support = ~invalid[srcs] & (
@@ -525,9 +464,8 @@ def incremental_bfs(
                 kids = np.empty(0, dtype=np.int64)
                 if newly.size:
                     csr = merged.csr()
-                    d2, _ = _gather_arcs(
-                        csr.row_offsets, csr.column_indices, newly
-                    )
+                    eids, _ = segment_edges(csr.row_offsets, newly)
+                    d2 = csr.column_indices.take(eids)
                     kids = np.unique(
                         d2[
                             (old_levels[d2] == level + 1)
@@ -571,10 +509,11 @@ def incremental_bfs(
             stats = _relax_push(merged, dist, seed_ids, unit=True)
         else:
             stats = _min_relax_fixpoint(
-                _unit_weight_graph(merged),
+                merged,
                 dist,
                 seed_ids,
                 policy,
+                unit=True,
                 state_name="levels",
                 resilience=resilience,
             )
@@ -598,9 +537,8 @@ def incremental_bfs(
         fix = np.nonzero(changed & (new_levels >= 0))[0]
         if fix.size:
             csc = merged.csc()
-            srcs, dsts = _gather_arcs(
-                csc.col_offsets, csc.row_indices, fix
-            )
+            eids, cnts = segment_edges(csc.col_offsets, fix)
+            srcs, dsts = csc.row_indices.take(eids), fix.repeat(cnts)
             tight = (new_levels[srcs] >= 0) & (
                 new_levels[srcs] + 1 == new_levels[dsts]
             )
@@ -693,35 +631,13 @@ def _certified_reach(
     """Vertices reachable from ``roots`` over the underlying undirected
     deletion-only structure — the exact certificate deletions need.
 
-    One frontier BFS over :func:`_deletion_structure`; every edge of
-    the roots' components is touched once, so the cost is proportional
-    to the components that actually lost an edge, not to the graph.
+    One :func:`~repro.graph.segments.reach_mask` sweep over
+    :func:`_deletion_structure`; every edge of the roots' components is
+    touched once, so the cost is proportional to the components that
+    actually lost an edge, not to the graph.
     """
     offs, nbrs = _deletion_structure(merged, batch)
-    n = merged.n_vertices
-    seen = np.zeros(n, dtype=bool)
-    seen[roots] = True
-    frontier = roots
-    while frontier.size:
-        starts = offs[frontier]
-        cnts = offs[frontier + 1] - starts
-        total = int(cnts.sum())
-        if total == 0:
-            break
-        seg0 = np.cumsum(cnts) - cnts
-        idx = np.repeat(starts - seg0, cnts) + np.arange(
-            total, dtype=np.int64
-        )
-        # Scatter-first: dumping every gathered neighbor into a fresh
-        # mask and subtracting ``seen`` afterwards beats filtering the
-        # gather (a second 300k-element gather) on the heavy middle
-        # levels of a scale-free component.
-        mask = np.zeros(n, dtype=bool)
-        mask[nbrs[idx]] = True
-        mask &= ~seen
-        seen |= mask
-        frontier = np.nonzero(mask)[0]
-    return seen
+    return reach_mask(offs, nbrs, roots)
 
 
 def _relabel_split(
@@ -746,14 +662,8 @@ def _relabel_split(
         return 0
     labels[cut_ids] = cut_ids.astype(labels.dtype)
     offs, nbrs = _deletion_structure(merged, batch)
-    starts = offs[cut_ids]
-    cnts = offs[cut_ids + 1] - starts
-    total = int(cnts.sum())
-    if total:
-        seg0 = np.cumsum(cnts) - cnts
-        idx = np.repeat(starts - seg0, cnts) + np.arange(
-            total, dtype=np.int64
-        )
+    idx, cnts = segment_edges(offs, cut_ids)
+    if idx.size:
         srcs = np.repeat(cut_ids, cnts)
         dsts = nbrs[idx]
         keep = cut[dsts]

@@ -42,9 +42,9 @@ from repro.execution.proc_pool import (
     in_worker_process,
     shutdown_pools,
 )
-from repro.frontier.dense import DenseFrontier
 from repro.frontier.sparse import SparseFrontier
 from repro.observability.probe import active_probe
+from repro.operators.fused import pull_inputs
 from repro.operators.load_balance import make_chunks
 from repro.partition.chunking import contiguous_partition
 from repro.resilience.policy import ResiliencePolicy
@@ -184,7 +184,10 @@ class ProcEngine:
             dsts = np.asarray(reply["dsts"])
             if not dsts.size:
                 continue
-            vals = np.asarray(reply["vals"])
+            # Workers propose in native dtypes; the mailbox carries
+            # float64 values (lossless for float32 distances and the
+            # int32/int64 labels and parent ids in use).
+            vals = np.asarray(reply["vals"], dtype=np.float64)
             sent += dsts.nbytes + vals.nbytes
             router.send(dsts, vals, from_rank=rank)
         if sent and probe.enabled:
@@ -417,21 +420,6 @@ def shutdown() -> None:
 # -- operator integration --------------------------------------------------------------
 
 
-def _active_flags_of(frontier, n: int) -> np.ndarray:
-    """Dense bool copy of a frontier's active set (mirrored to workers)."""
-    if isinstance(frontier, DenseFrontier):
-        return frontier.flags_view()
-    flags = np.zeros(n, dtype=bool)
-    idx = (
-        frontier.indices_view()
-        if isinstance(frontier, SparseFrontier)
-        else frontier.to_indices()
-    )
-    if idx.size:
-        flags[idx] = True
-    return flags
-
-
 def proc_expand(
     policy, graph, frontier, kernel, output, direction, candidates
 ):
@@ -446,7 +434,6 @@ def proc_expand(
     if not proc_available():
         return None
     engine = get_engine()
-    n = graph.n_vertices
     if direction == "push":
         if isinstance(frontier, SparseFrontier):
             work_ids = frontier.indices_view()
@@ -454,11 +441,9 @@ def proc_expand(
             work_ids = frontier.to_indices()
         active_flags = None
     else:
-        if candidates is None:
-            work_ids = np.arange(n, dtype=VERTEX_DTYPE)
-        else:
-            work_ids = np.asarray(candidates, dtype=VERTEX_DTYPE).ravel()
-        active_flags = _active_flags_of(frontier, n)
+        _, active_flags, work_ids = pull_inputs(
+            graph, frontier, candidates, None
+        )
     if work_ids.size == 0:
         return output
     dsts, folded = engine.advance(
@@ -471,29 +456,11 @@ def proc_expand(
     )
     if dsts.size == 0:
         return output
-    if kernel.name == "min_relax":
-        values = kernel.values
-        cand = folded.astype(values.dtype)
-        improved = cand < values[dsts]
-        winners = dsts[improved]
-        if winners.size == 0:
-            return output
-        values[winners] = cand[improved]
-    else:
-        levels = kernel.levels
-        fresh = levels[dsts] == kernel.unreached
-        winners = dsts[fresh]
-        if winners.size == 0:
-            return output
-        srcs = folded[fresh].astype(kernel.parents.dtype)
-        # The fold picked the minimum proposing parent per child — one
-        # deterministic choice among the equally valid parents the
-        # in-process kernel resolves by last write.  Levels agree
-        # exactly: every proposer sits in the current frontier.
-        levels[winners] = levels[srcs] + 1
-        kernel.parents[winners] = srcs
-    if isinstance(output, SparseFrontier):
-        output.add_many_trusted(winners)
-    else:
-        output.add_many(winners)
-    return output
+    # Workers filtered against the pre-round state, which no one wrote
+    # during the round, so every merged proposal improves and the fold
+    # is the single-pass kernel's.  For BFS the merge picked the minimum
+    # proposing parent per child — one deterministic choice among the
+    # equally valid parents the in-process kernel resolves by last
+    # write; levels agree exactly, as every proposer is in the frontier.
+    state = kernel.values if kernel.name == "min_relax" else kernel.parents
+    return kernel.fold(dsts, folded.astype(state.dtype), output, None)

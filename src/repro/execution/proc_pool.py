@@ -61,15 +61,6 @@ _POLL_SECONDS = 0.05
 #: means something systemic (not one lost process), so fail loudly.
 _MAX_RESPAWNS_PER_ROUND = 8
 
-#: Worker-side kernel registry (names cross the pipe, functions do not).
-_KERNELS = {
-    "min_relax_push": proc_kernels.min_relax_push,
-    "min_relax_pull": proc_kernels.min_relax_pull,
-    "claim_push": proc_kernels.claim_push,
-    "claim_pull": proc_kernels.claim_pull,
-    "pagerank_range": proc_kernels.pagerank_range,
-}
-
 _in_worker = False
 
 
@@ -145,7 +136,7 @@ def _worker_main(rank: int, conn) -> None:  # pragma: no cover - child process
         shm.detach(msg.get("retire", ()))
         t0 = time.perf_counter()
         try:
-            fn = _KERNELS[msg["fn"]]
+            fn = proc_kernels.KERNELS[msg["fn"]]
             result = fn(**_resolve_args(msg["args"]))
             busy = time.perf_counter() - t0
             if msg["fn"] == "pagerank_range":

@@ -15,6 +15,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import GraphFormatError
+from repro.graph.segments import segment_edges
 from repro.types import EDGE_DTYPE, VERTEX_DTYPE, WEIGHT_DTYPE, as_vertex_array
 
 
@@ -108,19 +109,7 @@ class CSCMatrix:
         the mirror image of :meth:`CSRMatrix.expand_vertices`.
         """
         vertices = as_vertex_array(vertices)
-        starts = self.col_offsets[vertices]
-        counts = self.col_offsets[vertices + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return (
-                np.empty(0, dtype=VERTEX_DTYPE),
-                np.empty(0, dtype=VERTEX_DTYPE),
-                np.empty(0, dtype=EDGE_DTYPE),
-                np.empty(0, dtype=WEIGHT_DTYPE),
-            )
-        cum = np.cumsum(counts)
-        base = np.repeat(starts - (cum - counts), counts)
-        edge_ids = (np.arange(total, dtype=EDGE_DTYPE) + base).astype(EDGE_DTYPE)
+        edge_ids, counts = segment_edges(self.col_offsets, vertices)
         destinations = np.repeat(vertices, counts)
         return self.row_indices[edge_ids], destinations, edge_ids, self.values[edge_ids]
 

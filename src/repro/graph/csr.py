@@ -15,6 +15,7 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from repro.errors import GraphFormatError
+from repro.graph.segments import segment_edges
 from repro.types import (
     EDGE_DTYPE,
     VERTEX_DTYPE,
@@ -146,22 +147,7 @@ class CSRMatrix:
         to the total degree of ``vertices``.
         """
         vertices = as_vertex_array(vertices)
-        starts = self.row_offsets[vertices]
-        counts = self.row_offsets[vertices + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return (
-                np.empty(0, dtype=VERTEX_DTYPE),
-                np.empty(0, dtype=VERTEX_DTYPE),
-                np.empty(0, dtype=EDGE_DTYPE),
-                np.empty(0, dtype=WEIGHT_DTYPE),
-            )
-        # Vectorized multi-range gather: for each vertex i the positions
-        # starts[i] .. starts[i]+counts[i)-1.  `base` realigns a global
-        # arange to restart at each segment boundary.
-        cum = np.cumsum(counts)
-        base = np.repeat(starts - (cum - counts), counts)
-        edge_ids = (np.arange(total, dtype=EDGE_DTYPE) + base).astype(EDGE_DTYPE)
+        edge_ids, counts = segment_edges(self.row_offsets, vertices)
         sources = np.repeat(vertices, counts)
         return sources, self.column_indices[edge_ids], edge_ids, self.values[edge_ids]
 

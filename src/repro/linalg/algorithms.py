@@ -48,6 +48,7 @@ from repro.algorithms.pagerank import PageRankResult
 from repro.algorithms.ppr import PPRResult
 from repro.algorithms.sssp import SSSPResult
 from repro.graph.graph import Graph
+from repro.graph.segments import segment_edges
 from repro.linalg.kernels import scipy_adjacency, spmspv, spmv
 from repro.linalg.semiring import (
     MIN_PLUS,
@@ -55,6 +56,7 @@ from repro.linalg.semiring import (
     PLUS_TIMES,
     Semiring,
 )
+from repro.resilience.deadline import active_token
 from repro.types import INF, INVALID_VERTEX, VALUE_DTYPE, VERTEX_DTYPE, WEIGHT_DTYPE
 from repro.utils.counters import IterationStats, RunStats
 from repro.utils.validation import check_vertex_in_range
@@ -118,7 +120,10 @@ def linalg_bfs(
     level = 0
     stats = RunStats()
     last_pull = False
+    token = active_token()
     while frontier.shape[0]:
+        if token is not None:
+            token.check(f"superstep:{level}")
         t0 = _time.perf_counter()
         level += 1
         if direction == "auto":
@@ -181,14 +186,9 @@ def _fill_parents(
     reached = np.nonzero(levels > 0)[0]
     if reached.shape[0] == 0:
         return
-    starts = csc.col_offsets[reached]
-    lengths = (csc.col_offsets[reached + 1] - starts).astype(np.int64)
-    total = int(lengths.sum())
-    if total == 0:
+    flat, lengths = segment_edges(csc.col_offsets, reached)
+    if flat.size == 0:
         return
-    flat = np.repeat(starts, lengths) + (
-        np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    )
     srcs = csc.row_indices[flat].astype(np.int64)
     dsts = np.repeat(reached, lengths)
     good = levels[srcs] == levels[dsts] - 1
@@ -230,7 +230,10 @@ def linalg_sssp(
     cap = max_iterations if max_iterations is not None else 4 * max(n, 1) + 8
     stats = RunStats()
     i = 0
+    token = active_token()
     while frontier.shape[0] and i < cap:
+        if token is not None:
+            token.check(f"superstep:{i}")
         t0 = _time.perf_counter()
         use_pull = direction == "pull" or (
             direction == "auto"
@@ -280,7 +283,10 @@ def linalg_cc(graph: Graph) -> CCResult:
     frontier = np.arange(n, dtype=np.int64)
     stats = RunStats()
     i = 0
+    token = active_token()
     while frontier.shape[0]:
+        if token is not None:
+            token.check(f"superstep:{i}")
         t0 = _time.perf_counter()
         candidate, touched = spmspv(
             graph, frontier, labels, semiring=MIN_SELECT
@@ -353,7 +359,13 @@ def linalg_pagerank(
     delta = np.inf
     iterations = 0
     stats = RunStats()
+    token = active_token()
     for iterations in range(1, max_iterations + 1):
+        if token is not None and token.should_stop():
+            # Anytime semantics, as native pagerank: the last completed
+            # iterate comes back as an unconverged partial result.
+            iterations -= 1
+            break
         t0 = _time.perf_counter()
         share = np.where(
             dangling, 0.0, ranks / np.maximum(out_weight, 1e-300)
@@ -416,7 +428,11 @@ def linalg_ppr(
         ranks = teleport.copy()
     converged = False
     iterations = 0
+    token = active_token()
     for iterations in range(1, max_iterations + 1):
+        if token is not None and token.should_stop():
+            iterations -= 1
+            break
         share = np.where(
             dangling, 0.0, ranks / np.maximum(out_weight, 1e-300)
         )
@@ -456,7 +472,11 @@ def linalg_hits(
     auth = hubs.copy()
     converged = False
     iterations = 0
+    token = active_token()
     for iterations in range(1, max_iterations + 1):
+        if token is not None and token.should_stop():
+            iterations -= 1
+            break
         new_auth = spmv(graph, hubs, semiring=PLUS_TIMES, transpose=True)
         norm = np.linalg.norm(new_auth)
         if norm > 0:
@@ -531,14 +551,8 @@ def linalg_spgemm(a: Graph, b: Graph) -> Graph:
         b_csr = b.csr()
         # Fan each A-nonzero (i, k, w_ik) out over B's row k.
         k_mid = a_coo.cols.astype(np.int64)
-        starts = b_csr.row_offsets[k_mid]
-        lengths = (b_csr.row_offsets[k_mid + 1] - starts).astype(np.int64)
-        total = int(lengths.sum())
-        if total:
-            flat = np.repeat(starts, lengths) + (
-                np.arange(total)
-                - np.repeat(np.cumsum(lengths) - lengths, lengths)
-            )
+        flat, lengths = segment_edges(b_csr.row_offsets, k_mid)
+        if flat.size:
             i_rep = np.repeat(a_coo.rows.astype(np.int64), lengths)
             w_rep = np.repeat(a_coo.vals.astype(np.float64), lengths)
             j_dst = b_csr.column_indices[flat].astype(np.int64)

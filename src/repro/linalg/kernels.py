@@ -35,6 +35,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.graph.graph import Graph
+from repro.graph.segments import segment_edges
 from repro.observability.probe import active_probe
 from repro.linalg.semiring import PLUS_TIMES, Semiring, resolve_semiring
 
@@ -210,15 +211,9 @@ def _spmv_numpy(
         return out
 
     # Masked form: gather only the selected rows' segments.
-    starts = offsets[rows]
-    lengths = (offsets[rows + 1] - starts).astype(np.int64)
-    total = int(lengths.sum())
-    if total == 0:
+    flat, lengths = segment_edges(offsets, rows)
+    if flat.size == 0:
         return out
-    # Flat edge positions of every selected segment, in row order.
-    flat = np.repeat(starts, lengths) + (
-        np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    )
     contrib = semiring.multiply(
         xv[targets[flat]], weights[flat].astype(np.float64)
     ).astype(semiring.dtype, copy=False)
@@ -270,17 +265,9 @@ def spmspv(
         if frontier_ids.shape[0] == 0:
             return out, np.empty(0, dtype=np.int64)
         csr = graph.csr()
-        starts = csr.row_offsets[frontier_ids]
-        lengths = (csr.row_offsets[frontier_ids + 1] - starts).astype(
-            np.int64
-        )
-        total = int(lengths.sum())
-        if total == 0:
+        flat, lengths = segment_edges(csr.row_offsets, frontier_ids)
+        if flat.size == 0:
             return out, np.empty(0, dtype=np.int64)
-        flat = np.repeat(starts, lengths) + (
-            np.arange(total)
-            - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        )
         dsts = csr.column_indices[flat].astype(np.int64)
         srcs = np.repeat(frontier_ids, lengths)
         xv = np.asarray(x, dtype=semiring.dtype)

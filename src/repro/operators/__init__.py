@@ -16,6 +16,9 @@ assert directly.
 * :func:`~repro.operators.uniquify.uniquify` — duplicate removal.
 * :func:`~repro.operators.intersection.segmented_intersection_counts` —
   sorted-neighborhood intersection (triangle counting).
+* :mod:`~repro.operators.relax` — the relax/claim proposal kernels
+  that the fused supersteps, the ``par_proc`` workers and incremental
+  repair share.
 * :mod:`~repro.operators.load_balance` — the chunking schedules
   ("this is where the bulk of optimizations can be introduced, such as
   ... load balancing").

@@ -52,13 +52,14 @@ from repro.frontier.edge import EdgeFrontier
 from repro.frontier.queue import AsyncQueueFrontier
 from repro.frontier.sparse import SparseFrontier
 from repro.graph.graph import Graph
+from repro.graph.segments import segment_edges
 from repro.operators.conditions import apply_edge_condition, call_condition_scalar
 from repro.operators.fused import (
-    _gather_segments,
     choose_direction,
     choose_representation,
     dedup_ids,
     fused_kernel_of,
+    pull_inputs,
 )
 from repro.operators.load_balance import make_chunks
 from repro.execution.policy import (
@@ -72,7 +73,6 @@ from repro.execution.policy import (
 )
 from repro.execution.thread_pool import get_pool
 from repro.observability.probe import active_probe
-from repro.types import VERTEX_DTYPE
 
 
 def _frontier_vertices(frontier: Frontier) -> np.ndarray:
@@ -123,8 +123,10 @@ def _push_vector(graph, vertices, condition, output, workspace=None):
         if dests.size == 0:
             return output
     else:
-        edges, counts = _gather_segments(csr.row_offsets, vertices, workspace)
-        if edges is None:
+        edges, counts = segment_edges(
+            csr.row_offsets, vertices, workspace.arange
+        )
+        if not edges.size:
             return output
         sources = np.repeat(vertices, counts)
         dests = workspace.take("advance.dsts", csr.column_indices, edges)
@@ -198,27 +200,7 @@ def _pull(graph, frontier, condition, output, candidates, policy, workspace=None
     except ``seq`` (there is no per-vertex ordering to preserve — pull is
     inherently a bulk membership question).
     """
-    csc = graph.csc()
-    n = graph.n_vertices
-    if isinstance(frontier, DenseFrontier):
-        active = frontier.flags_view()
-    else:
-        active = (
-            workspace.cleared("advance.active", n, bool)
-            if workspace is not None
-            else np.zeros(n, dtype=bool)
-        )
-        idx = (
-            frontier.indices_view()
-            if isinstance(frontier, SparseFrontier)
-            else frontier.to_indices()
-        )
-        if idx.size:
-            active[idx] = True
-    if candidates is None:
-        cand = np.arange(n, dtype=VERTEX_DTYPE)
-    else:
-        cand = np.asarray(candidates, dtype=VERTEX_DTYPE).ravel()
+    csc, active, cand = pull_inputs(graph, frontier, candidates, workspace)
     if cand.size == 0:
         return output
     if isinstance(policy, SequencedPolicy):
@@ -245,7 +227,7 @@ def _pull(graph, frontier, condition, output, candidates, policy, workspace=None
         return output
     srcs, dsts, eids, wts = srcs[live], dsts[live], eids[live], wts[live]
     mask = apply_edge_condition(condition, srcs, dsts, eids, wts)
-    winners = dedup_ids(dsts[mask], n, workspace)
+    winners = dedup_ids(dsts[mask], graph.n_vertices, workspace)
     output.add_many(winners)
     return output
 

@@ -46,6 +46,12 @@ from repro.frontier.dense import DenseFrontier
 from repro.frontier.sparse import SparseFrontier
 from repro.graph.graph import Graph
 from repro.operators.conditions import bulk_condition
+from repro.operators.relax import (
+    claim_pull,
+    claim_push,
+    min_relax_pull,
+    min_relax_push,
+)
 from repro.execution.atomics import bulk_min_relax
 from repro.execution.workspace import Workspace
 from repro.types import INF, VERTEX_DTYPE
@@ -107,9 +113,7 @@ def _emit(output: Frontier, ids: np.ndarray) -> Frontier:
     """Append ``ids`` (already-validated vertex ids) to ``output``."""
     if isinstance(output, SparseFrontier):
         output.add_many_trusted(ids)
-    elif isinstance(output, DenseFrontier):
-        output.add_many(ids)
-    else:  # queue or exotic frontier: generic path
+    else:
         output.add_many(ids)
     return output
 
@@ -156,37 +160,16 @@ class FusedKernel:
         ``frontier``, mutate state, emit into ``output``."""
         raise NotImplementedError
 
-
-def _gather_segments(offsets, vertices, workspace):
-    """Multi-range gather bookkeeping shared by the fused kernels.
-
-    Returns ``(edge_ids, counts)`` — the flat positions of every edge
-    incident to ``vertices`` in the given offsets array, and the
-    per-vertex segment lengths.  Uses the workspace's cached ramp so the
-    steady state allocates only the two ``repeat`` outputs.
-
-    Written in method/``out=`` form (``.take``, ``.repeat``, in-place
-    arithmetic into just-produced temporaries): on superstep-sized
-    frontiers every avoided Python-level ufunc dispatch is a visible
-    fraction of the kernel.
-    """
-    starts = offsets.take(vertices)
-    ends = offsets.take(vertices + 1)
-    counts = np.subtract(ends, starts, out=starts)  # starts dies here
-    cum = counts.cumsum()
-    total = int(cum[-1]) if counts.size else 0
-    if total == 0:
-        return None, counts
-    # Segment base of each edge slot: ends - cum == starts - (cum - counts).
-    base = np.subtract(ends, cum, out=ends)  # ends dies here
-    edge_ids = base.repeat(counts)
-    ramp = (
-        workspace.arange(total)
-        if workspace is not None
-        else np.arange(total, dtype=edge_ids.dtype)
-    )
-    np.add(ramp, edge_ids, out=edge_ids)
-    return edge_ids, counts
+    def fold(
+        self,
+        dsts: np.ndarray,
+        proposed: np.ndarray,
+        output: Frontier,
+        workspace: Optional[Workspace],
+    ) -> Frontier:
+        """Apply one round's proposals (from :mod:`repro.operators.relax`,
+        or the ``par_proc`` merge) to the state; emit the destinations."""
+        raise NotImplementedError
 
 
 def dedup_ids(
@@ -209,7 +192,9 @@ def dedup_ids(
     return np.nonzero(flags)[0].astype(VERTEX_DTYPE, copy=False)
 
 
-def _active_flags(frontier: Frontier, n: int, workspace: Optional[Workspace]):
+def _active_flags(
+    frontier: Frontier, n: int, workspace: Optional[Workspace] = None
+) -> np.ndarray:
     """Dense bool view of a frontier's active set (pooled when possible)."""
     if isinstance(frontier, DenseFrontier):
         return frontier.flags_view()
@@ -227,6 +212,17 @@ def _active_flags(frontier: Frontier, n: int, workspace: Optional[Workspace]):
     return flags
 
 
+def pull_inputs(graph: Graph, frontier: Frontier, candidates, workspace):
+    """``(csc, active flags, candidate ids)`` of one pull superstep;
+    ``candidates=None`` means every vertex."""
+    n = graph.n_vertices
+    if candidates is None:
+        cand_ids = np.arange(n, dtype=VERTEX_DTYPE)
+    else:
+        cand_ids = np.asarray(candidates, dtype=VERTEX_DTYPE).ravel()
+    return graph.csc(), _active_flags(frontier, n, workspace), cand_ids
+
+
 class MinRelaxKernel(FusedKernel):
     """Fused relax-and-emit: the SSSP / delta-stepping / CC shape.
 
@@ -234,8 +230,8 @@ class MinRelaxKernel(FusedKernel):
     batched ``atomic::min`` into ``values``, output = the (deduplicated,
     sorted) set of destinations whose pre-batch value improved — exactly
     :func:`~repro.execution.atomics.bulk_min_relax` run inside the
-    expand, with no intermediate edge tuple materialized for the
-    condition protocol.
+    expand: :func:`~repro.operators.relax.min_relax_push` / ``_pull``
+    propose the improving edges, and the kernel folds them in place.
 
     ``edge_mask`` restricts relaxation to a fixed edge subset (delta
     stepping's light/heavy split).  Masked kernels are push-only: the
@@ -259,61 +255,40 @@ class MinRelaxKernel(FusedKernel):
     def push(self, graph, vertices, output, workspace):
         """Relax the frontier's out-edges in one batched min pass."""
         csr = graph.csr()
-        edge_ids, counts = _gather_segments(csr.row_offsets, vertices, workspace)
-        if edge_ids is None:
-            return output
-        values = self.values
-        dsts = (
-            workspace.take("fused.dsts", csr.column_indices, edge_ids)
-            if workspace is not None
-            else csr.column_indices.take(edge_ids)
+        dsts, cand = min_relax_push(
+            csr.row_offsets,
+            csr.column_indices,
+            csr.values,
+            self.values,
+            vertices,
+            weighted=self.weighted,
+            edge_mask=self.edge_mask,
+            workspace=workspace,
         )
-        # Gather per-vertex then repeat: k reads + one repeat instead of
-        # a length-E fancy gather through a repeated source array.
-        cand = values.take(vertices).repeat(counts)
-        if self.weighted:
-            cand += csr.values.take(edge_ids)
-        if self.edge_mask is not None:
-            live = self.edge_mask.take(edge_ids)
-            np.copyto(cand, INF, where=~live)
-        old = values.take(dsts)  # pre-batch copy
-        np.minimum.at(values, dsts, cand)
-        improved = cand < old
-        if self.edge_mask is not None:
-            improved &= live
-        winners = dsts.compress(improved)
-        if winners.size:
-            return _emit(
-                output, dedup_ids(winners, values.shape[0], workspace)
-            )
-        return output
+        return self.fold(dsts, cand, output, workspace)
 
     def pull(self, graph, frontier, candidates, output, workspace):
         """Relax candidates' in-edges from the active set (CSC side)."""
-        csc = graph.csc()
-        n = graph.n_vertices
-        active = _active_flags(frontier, n, workspace)
-        if candidates is None:
-            cand_ids = np.arange(n, dtype=VERTEX_DTYPE)
-        else:
-            cand_ids = np.asarray(candidates, dtype=VERTEX_DTYPE).ravel()
-        if cand_ids.size == 0:
+        csc, active, cand_ids = pull_inputs(
+            graph, frontier, candidates, workspace
+        )
+        dsts, cand = min_relax_pull(
+            csc.col_offsets,
+            csc.row_indices,
+            csc.values,
+            self.values,
+            active,
+            cand_ids,
+            weighted=self.weighted,
+            workspace=workspace,
+        )
+        return self.fold(dsts, cand, output, workspace)
+
+    def fold(self, dsts, cand, output, workspace):
+        if not dsts.size:
             return output
-        edge_ids, counts = _gather_segments(csc.col_offsets, cand_ids, workspace)
-        if edge_ids is None:
-            return output
-        srcs = csc.row_indices[edge_ids]
-        live = active[srcs]
-        if not np.any(live):
-            return output
-        srcs = srcs[live]
-        dsts = np.repeat(cand_ids, counts)[live]
-        values = self.values
-        cand = values[srcs]
-        if self.weighted:
-            cand = cand + csc.values[edge_ids[live]]
-        improved = bulk_min_relax(values, dsts, cand)
-        return _emit(output, dedup_ids(dsts[improved], n, workspace))
+        np.minimum.at(self.values, dsts, cand)
+        return _emit(output, dedup_ids(dsts, self.values.shape[0], workspace))
 
 
 class ClaimLevelsKernel(FusedKernel):
@@ -338,55 +313,39 @@ class ClaimLevelsKernel(FusedKernel):
     def push(self, graph, vertices, output, workspace):
         """Claim unvisited children of the frontier (CSR expand)."""
         csr = graph.csr()
-        edge_ids, counts = _gather_segments(csr.row_offsets, vertices, workspace)
-        if edge_ids is None:
-            return output
-        levels = self.levels
-        dsts = (
-            workspace.take("fused.dsts", csr.column_indices, edge_ids)
-            if workspace is not None
-            else csr.column_indices.take(edge_ids)
+        claimed, srcs = claim_push(
+            csr.row_offsets,
+            csr.column_indices,
+            self.levels,
+            vertices,
+            unreached=self.unreached,
+            workspace=workspace,
         )
-        fresh = levels.take(dsts) == self.unreached
-        claimed = dsts.compress(fresh)
-        if claimed.size:
-            srcs = vertices.repeat(counts).compress(fresh)
-            levels[claimed] = levels.take(srcs) + 1
-            self.parents[claimed] = srcs
-            return _emit(
-                output, dedup_ids(claimed, levels.shape[0], workspace)
-            )
-        return output
+        return self.fold(claimed, srcs, output, workspace)
 
     def pull(self, graph, frontier, candidates, output, workspace):
         """Unvisited candidates scan in-edges for a visited parent."""
-        csc = graph.csc()
-        n = graph.n_vertices
-        active = _active_flags(frontier, n, workspace)
-        if candidates is None:
-            cand_ids = np.arange(n, dtype=VERTEX_DTYPE)
-        else:
-            cand_ids = np.asarray(candidates, dtype=VERTEX_DTYPE).ravel()
-        if cand_ids.size == 0:
+        csc, active, cand_ids = pull_inputs(
+            graph, frontier, candidates, workspace
+        )
+        claimed, srcs = claim_pull(
+            csc.col_offsets,
+            csc.row_indices,
+            self.levels,
+            active,
+            cand_ids,
+            unreached=self.unreached,
+            workspace=workspace,
+        )
+        return self.fold(claimed, srcs, output, workspace)
+
+    def fold(self, claimed, srcs, output, workspace):
+        if not claimed.size:
             return output
-        edge_ids, counts = _gather_segments(csc.col_offsets, cand_ids, workspace)
-        if edge_ids is None:
-            return output
-        srcs = csc.row_indices[edge_ids]
-        live = active[srcs]
-        if not np.any(live):
-            return output
-        srcs = srcs[live]
-        dsts = np.repeat(cand_ids, counts)[live]
         levels = self.levels
-        fresh = levels[dsts] == self.unreached
-        if not np.any(fresh):
-            return output
-        claimed = dsts[fresh]
-        claiming = srcs[fresh]
-        levels[claimed] = levels[claiming] + 1
-        self.parents[claimed] = claiming
-        return _emit(output, dedup_ids(claimed, n, workspace))
+        levels[claimed] = levels.take(srcs) + 1
+        self.parents[claimed] = srcs
+        return _emit(output, dedup_ids(claimed, levels.shape[0], workspace))
 
 
 # -- condition factories ------------------------------------------------------------

@@ -355,3 +355,88 @@ class TestPartialResults:
     def test_pagerank_unaffected_without_token(self, grid):
         full = pagerank(grid)
         assert full.converged is True
+
+
+def cancelled_token():
+    token = CancelToken()
+    token.cancel("budget")
+    return token
+
+
+#: Every execution policy name the entry points accept.
+ALL_POLICIES = ("seq", "par", "par_nosync", "par_vector", "par_proc")
+
+
+class TestRepairCancellation:
+    """Incremental repair honors the ambient token under every policy —
+    the ``par_vector`` repair push loop polls it per superstep just as
+    the enactor behind the other policies does."""
+
+    @pytest.fixture
+    def mutated(self, grid):
+        from repro.dynamic import DynamicGraph
+
+        dyn = DynamicGraph(grid)
+        before = {
+            "sssp": sssp(grid, 0),
+            "bfs": bfs(grid, 0),
+        }
+        # A far shortcut from the source: every repair has seeds to push.
+        batch = dyn.apply(insert=[(0, grid.n_vertices - 1, 0.001)])
+        return dyn, batch, before
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_incremental_sssp_raises(self, mutated, policy):
+        from repro.dynamic.incremental import incremental_sssp
+
+        dyn, batch, before = mutated
+        with cancelled_token(), pytest.raises(QueryCancelled):
+            incremental_sssp(dyn, before["sssp"], batch=batch, policy=policy)
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_incremental_bfs_raises(self, mutated, policy):
+        from repro.dynamic.incremental import incremental_bfs
+
+        dyn, batch, before = mutated
+        with cancelled_token(), pytest.raises(QueryCancelled):
+            incremental_bfs(dyn, before["bfs"], batch=batch, policy=policy)
+
+    def test_repair_unaffected_without_token(self, mutated, grid):
+        from repro.dynamic.incremental import incremental_sssp
+
+        dyn, batch, before = mutated
+        repaired = incremental_sssp(dyn, before["sssp"], batch=batch)
+        full = sssp(dyn.graph(), 0)
+        np.testing.assert_array_equal(repaired.distances, full.distances)
+
+
+class TestLinalgCancellation:
+    """The linalg drivers keep the native contract: traversals raise at
+    the next superstep, the rank loops return their last iterate."""
+
+    @pytest.mark.parametrize("algorithm", ["bfs", "sssp", "cc"])
+    def test_traversals_raise(self, grid, algorithm):
+        from repro.algorithms import connected_components
+
+        run = {
+            "bfs": lambda: bfs(grid, 0, backend="linalg"),
+            "sssp": lambda: sssp(grid, 0, backend="linalg"),
+            "cc": lambda: connected_components(grid, backend="linalg"),
+        }[algorithm]
+        with cancelled_token(), pytest.raises(QueryCancelled):
+            run()
+
+    @pytest.mark.parametrize("backend", ["native", "linalg"])
+    @pytest.mark.parametrize("algorithm", ["pagerank", "ppr", "hits"])
+    def test_rank_loops_return_partial(self, grid, algorithm, backend):
+        from repro.algorithms.hits import hits
+
+        run = {
+            "pagerank": lambda: pagerank(grid, backend=backend),
+            "ppr": lambda: personalized_pagerank(grid, 0, backend=backend),
+            "hits": lambda: hits(grid, backend=backend),
+        }[algorithm]
+        with cancelled_token():
+            partial = run()
+        assert partial.converged is False
+        assert partial.iterations == 0

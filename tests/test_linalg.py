@@ -204,8 +204,12 @@ def test_resolve_backend_table():
     assert resolve_backend(None, "sssp") == "native"
     assert resolve_backend("native", "sssp") == "native"
     assert resolve_backend("linalg", "sssp") == "linalg"
-    assert resolve_backend("auto", "pagerank") == "linalg"
-    assert resolve_backend("auto", "astar") == "native"
+    # auto routes only the (+, x) family to linalg; traversals, whose
+    # native enactor is the faster path, stay native.
+    for algorithm in ("pagerank", "ppr", "hits", "spmv", "spgemm"):
+        assert resolve_backend("auto", algorithm) == "linalg"
+    for algorithm in ("bfs", "sssp", "cc", "astar"):
+        assert resolve_backend("auto", algorithm) == "native"
     assert supports("linalg", "bfs")
     assert not supports("linalg", "astar")
     assert "native" in BACKENDS and "linalg" in BACKENDS
@@ -231,6 +235,53 @@ def test_linalg_fallback_emits_probe_event_and_counter():
         with probe.span("test"):
             assert resolve_backend("auto", "astar") == "native"
     assert probe.metrics.counter("backend.fallbacks").value == 1
+
+
+def test_linalg_route_reports_dropped_native_options():
+    from repro.algorithms import bfs, connected_components, sssp
+    from repro.errors import ExecutionPolicyError
+    from repro.resilience import ResiliencePolicy
+
+    graph = small_graph()
+    probe = Probe(trace=True)
+    with probe:
+        with probe.span("test"):
+            sssp(
+                graph,
+                0,
+                backend="linalg",
+                policy="seq",
+                output_representation="dense",
+                deduplicate_frontier=False,
+            )
+            bfs(graph, 0, backend="linalg", resilience=ResiliencePolicy())
+            connected_components(graph, backend="linalg", method="hooking")
+            # Defaults, and the same policy by object or by name, are
+            # not reported.
+            sssp(graph, 0, backend="linalg", policy="par_vector")
+            bfs(graph, 0, backend="linalg")
+    (span,) = [s for s in probe.tracer.spans() if s.name == "test"]
+    reported = [
+        (e.attrs["algorithm"], e.attrs["option"])
+        for e in span.events
+        if e.name == "backend:ignored_option"
+    ]
+    assert reported == [
+        ("sssp", "policy"),
+        ("sssp", "output_representation"),
+        ("sssp", "deduplicate_frontier"),
+        ("bfs", "resilience"),
+        ("cc", "method"),
+    ]
+    assert probe.metrics.counter("backend.ignored_options").value == 5
+    # An unknown policy is rejected on the linalg route too.
+    with pytest.raises(ExecutionPolicyError):
+        sssp(graph, 0, backend="linalg", policy="bogus")
+    # The native route takes every option: nothing is reported.
+    quiet = Probe(trace=True)
+    with quiet:
+        sssp(graph, 0, policy="seq", output_representation="dense")
+    assert quiet.metrics.counter("backend.ignored_options").value == 0
 
 
 def test_every_linalg_algorithm_is_dispatchable():
